@@ -80,7 +80,7 @@ def measure(kernels, time_event: bool) -> list[dict]:
             simulate(program, engine="event")
             event_s = time.perf_counter() - start
         for config, (line, lines) in FA_CONFIGS.items():
-            trace = reuse_profile(program, line=line, max_accesses=1 << 25)
+            trace = reuse_profile(program, line=line)
             start = time.perf_counter()
             prediction = predict_locality(program, line=line)
             predict_s = time.perf_counter() - start

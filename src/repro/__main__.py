@@ -287,7 +287,11 @@ def _locality_main(args: list[str]) -> int:
     if want_compare:
         from repro.cache.reuse import reuse_profile
 
-        trace = reuse_profile(program, line=line, max_accesses=1 << 25)
+        try:
+            trace = reuse_profile(program, line=line)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     for capacity in capacities:
         predicted = prediction.hit_rate_for_capacity(capacity)
         row = (

@@ -8,8 +8,12 @@ accesses with reuse distance < C. That equivalence is the classic Mattson
 stack-distance result, and the test suite checks it against the cache
 simulator directly.
 
-The implementation keeps the LRU stack in an order-statistics structure
-(a Fenwick tree over access timestamps), giving O(log n) per access.
+The analyzer consumes the batched block trace
+(:mod:`repro.exec.blocktrace`). A run of adjacent accesses to one line is
+a run of distance-0 reuses, collapsed with NumPy; every other access
+queries an order-statistics structure (a Fenwick tree over the timestamp
+of each line's latest access) in O(log n). The tree starts small and
+doubles as the clock passes its size, so memory follows the trace.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.errors import ExecutionError
 from repro.ir.nodes import Program
 
 __all__ = ["ReuseProfile", "ReuseDistanceAnalyzer", "reuse_profile"]
@@ -24,28 +31,11 @@ __all__ = ["ReuseProfile", "ReuseDistanceAnalyzer", "reuse_profile"]
 #: Distance bucket used for cold (first-touch) accesses.
 COLD = -1
 
+#: Default limit on the accesses one analyzer takes.
+MAX_ACCESSES = 1 << 25
 
-class _Fenwick:
-    """Fenwick tree counting live timestamps."""
-
-    def __init__(self, capacity: int):
-        self.size = capacity
-        self.tree = [0] * (capacity + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        index += 1
-        while index <= self.size:
-            self.tree[index] += delta
-            index += index & (-index)
-
-    def prefix(self, index: int) -> int:
-        """Sum of entries 0..index inclusive."""
-        index += 1
-        total = 0
-        while index > 0:
-            total += self.tree[index]
-            index -= index & (-index)
-        return total
+#: Initial Fenwick tree size (a power of two; doubled on demand).
+_INITIAL_TREE = 1 << 12
 
 
 @dataclass
@@ -89,44 +79,94 @@ class ReuseProfile:
 
 
 class ReuseDistanceAnalyzer:
-    """Streaming exact reuse-distance computation over cache lines."""
+    """Streaming exact reuse distances over :class:`AccessBlock`\\ s.
 
-    def __init__(self, line: int = 128, max_accesses: int = 1 << 22):
+    ``max_accesses`` bounds the trace length: a block that would take the
+    total past it raises :class:`~repro.errors.ExecutionError`.
+    """
+
+    def __init__(self, line: int = 128, max_accesses: int = MAX_ACCESSES):
         if line & (line - 1):
             raise ValueError("line size must be a power of two")
         self._shift = line.bit_length() - 1
+        self.max_accesses = max_accesses
         self.profile = ReuseProfile()
+        self._last_line: int | None = None
         self._last_time: dict[int, int] = {}
         self._clock = 0
-        self._fenwick = _Fenwick(max_accesses)
+        # 1-based Fenwick tree over timestamps 0..size-1; a timestamp is
+        # live while it is its line's latest access.
+        self._tree = [0] * (_INITIAL_TREE + 1)
 
-    def __call__(self, address: int, write: bool = False, sid: int = -1) -> None:
-        line = address >> self._shift
-        time = self._clock
-        self._clock += 1
-        self.profile.accesses += 1
-        previous = self._last_time.get(line)
-        if previous is None:
-            self.profile.histogram[COLD] += 1
-        else:
-            # Distinct lines touched strictly after `previous`:
-            distance = self._fenwick.prefix(time - 1) - self._fenwick.prefix(previous)
-            self.profile.histogram[distance] += 1
-            self._fenwick.add(previous, -1)
-        self._fenwick.add(time, 1)
-        self._last_time[line] = time
+    def on_block(self, block) -> None:
+        lines = block.addresses >> self._shift
+        n = int(lines.shape[0])
+        if n == 0:
+            return
+        if self.profile.accesses + n > self.max_accesses:
+            raise ExecutionError(
+                f"trace exceeds max_accesses={self.max_accesses}; "
+                "raise the limit to profile it"
+            )
+        self.profile.accesses += n
+        # Runs of one line: every repeat is a distance-0 reuse.
+        starts = np.empty(n, dtype=bool)
+        starts[0] = int(lines[0]) != self._last_line
+        np.not_equal(lines[1:], lines[:-1], out=starts[1:])
+        runs = lines[starts].tolist()
+        if n > len(runs):
+            self.profile.histogram[0] += n - len(runs)
+        self._last_line = int(lines[-1])
+        self._consume(runs)
+
+    def _consume(self, lines: list[int]) -> None:
+        last_time = self._last_time
+        tree = self._tree
+        size = len(tree) - 1
+        clock = self._clock
+        distances = []
+        for line in lines:
+            if clock == size:
+                # tree[2n] covers all of 1..2n; n+1..2n-1 hold no stamps yet.
+                tree.extend([0] * size)
+                tree[2 * size] = tree[size]
+                size *= 2
+            previous = last_time.get(line)
+            if previous is None:
+                distances.append(COLD)
+            else:
+                # Every live stamp is below the clock, so the lines touched
+                # since ``previous`` are the live stamps above it.
+                i = previous + 1
+                below = 0
+                while i:
+                    below += tree[i]
+                    i &= i - 1
+                distances.append(len(last_time) - below)
+                i = previous + 1
+                while i <= size:
+                    tree[i] -= 1
+                    i += i & -i
+            i = clock + 1
+            while i <= size:
+                tree[i] += 1
+                i += i & -i
+            last_time[line] = clock
+            clock += 1
+        self._clock = clock
+        self.profile.histogram.update(distances)
 
 
 def reuse_profile(
-    program: Program, line: int = 128, params=None, max_accesses: int = 1 << 22
+    program: Program, line: int = 128, params=None, max_accesses: int = MAX_ACCESSES
 ) -> ReuseProfile:
-    """Reuse-distance profile of a program's compiled trace.
+    """Reuse-distance profile of a program's block trace.
 
-    ``max_accesses`` sizes the order-statistics tree; raise it for traces
-    longer than the default four million accesses.
+    Raises :class:`~repro.errors.ExecutionError` when the trace is longer
+    than ``max_accesses``.
     """
-    from repro.exec.codegen import compile_trace
+    from repro.exec.blocktrace import compile_block_trace
 
     analyzer = ReuseDistanceAnalyzer(line=line, max_accesses=max_accesses)
-    compile_trace(program, params).run(analyzer)
+    compile_block_trace(program, params).run(analyzer)
     return analyzer.profile

@@ -2,7 +2,7 @@
 
 from repro.exec.interp import AccessEvent, Interpreter, default_init, run_program
 from repro.exec.layout import ArrayLayout, MemoryLayout
-from repro.exec.timing import Machine, PerfResult, resolve_engine, simulate
+from repro.exec.timing import Machine, PerfResult, simulate
 from repro.exec.trace import (
     AccessCounter,
     CacheFeed,
@@ -41,7 +41,6 @@ __all__ = [
     "MemoryLayout",
     "PerfResult",
     "default_init",
-    "resolve_engine",
     "run_program",
     "simulate",
 ]

@@ -12,7 +12,6 @@ exactly for the configured geometry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,16 +21,7 @@ from repro.ir.nodes import Program
 from repro.exec.interp import Interpreter
 from repro.obs import get_obs
 
-__all__ = ["Machine", "PerfResult", "resolve_engine", "simulate"]
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """The trace engine to use: explicit arg, else ``REPRO_TRACE_ENGINE``
-    (``block`` | ``event``), else the batched default."""
-    engine = engine or os.environ.get("REPRO_TRACE_ENGINE", "block")
-    if engine not in ("block", "event"):
-        raise ValueError(f"unknown trace engine {engine!r}")
-    return engine
+__all__ = ["Machine", "PerfResult", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -75,18 +65,19 @@ def simulate(
     params: Mapping[str, int] | None = None,
     init=None,
     compiled: bool = True,
-    engine: str | None = None,
+    engine: str = "block",
 ) -> PerfResult:
     """Run ``program`` against a machine model; returns timing + stats.
 
     With ``compiled=True`` (default) a trace compiler drives the cache —
     identical address stream, no value computation. ``engine`` selects the
     batched NumPy engine (``"block"``, the default) or the per-event one
-    (``"event"``); both produce bit-identical statistics, and the batched
-    path falls back to per-event when a program defeats it. Pass
+    (``"event"``); both produce bit-identical statistics. Pass
     ``compiled=False`` (or an ``init``) to execute real arithmetic via
     the validating interpreter.
     """
+    if engine not in ("block", "event"):
+        raise ValueError(f"unknown trace engine {engine!r}")
     machine = machine or Machine()
     obs = get_obs()
     cache = SetAssocCache(machine.cache)
@@ -95,25 +86,13 @@ def simulate(
         "exec.simulate", program=program.name, machine=machine.name
     ):
         if compiled and init is None:
-            engine = resolve_engine(engine)
-            trace = None
             if engine == "block":
-                from repro.exec.blocktrace import (
-                    BlockTraceError,
-                    compile_block_trace,
-                )
+                from repro.exec.blocktrace import compile_block_trace
 
-                try:
-                    trace = compile_block_trace(program, params)
-                except BlockTraceError:
-                    engine = "event"
-                    if obs.enabled:
-                        obs.metrics.counter("trace.block.fallback").inc()
-            if trace is not None:
                 def on_block(block) -> None:
                     cache.access_block(block.addresses, block.sizes)
 
-                _, operations = trace.run(on_block)
+                _, operations = compile_block_trace(program, params).run(on_block)
             else:
                 from repro.exec.codegen import compile_trace
 

@@ -86,7 +86,7 @@ def _entry_rows(
         accesses = 0
         exact_path = False
         for config_name, (line, lines) in config_items:
-            trace = reuse_profile(version, line=line, max_accesses=1 << 25)
+            trace = reuse_profile(version, line=line)
             prediction = predict_locality(version, line=line)
             simulated[config_name] = trace.hit_rate_for_capacity(lines)
             predicted[config_name] = prediction.hit_rate_for_capacity(lines)

@@ -1,30 +1,22 @@
-"""repro.locality — reuse-distance engines and analytic miss-ratio prediction.
+"""repro.locality — analytic reuse-distance and miss-ratio prediction.
 
-Three layers, cheapest last:
+Two layers:
 
-* :mod:`repro.locality.histogram` — trace-driven engines: the exact
-  per-reference analyzer over the event trace and the batched
-  (optionally SHARDS-sampled) variant over the block trace;
 * :mod:`repro.locality.analytic` — the trace-free predictor deriving a
   reuse-distance histogram and FA-LRU / set-associative miss ratios
   from affine subscripts, bounds, and layout;
 * :mod:`repro.locality.polysum` — exact iteration counting by
   polynomial summation, shared by the predictor.
 
-See ``docs/locality.md`` for the formulas and exactness conditions.
+The predictor is validated against the exact trace-driven analyzer in
+:mod:`repro.cache.reuse`. See ``docs/locality.md`` for the formulas and
+exactness conditions.
 """
 
 from repro.locality.analytic import (
     LocalityPrediction,
     ReuseTerm,
     predict_locality,
-)
-from repro.locality.histogram import (
-    BlockReuseAnalyzer,
-    PerRefReuseAnalyzer,
-    RefProfile,
-    per_ref_profile,
-    sampled_profile,
 )
 from repro.locality.polysum import (
     Poly,
@@ -34,16 +26,11 @@ from repro.locality.polysum import (
 )
 
 __all__ = [
-    "BlockReuseAnalyzer",
     "LocalityPrediction",
-    "PerRefReuseAnalyzer",
     "Poly",
     "PolySumError",
-    "RefProfile",
     "ReuseTerm",
     "chain_count",
-    "per_ref_profile",
     "predict_locality",
-    "sampled_profile",
     "weighted_chain_count",
 ]

@@ -6,9 +6,10 @@ nest, the trace-derived reuse-distance histogram is compared against
 :func:`repro.locality.analytic.predict_locality` at element granularity
 (``line=8``):
 
-* the three engines (event-trace per-reference, batched block-trace,
-  and the cache layer's reference analyzer) must agree bit-for-bit on
-  the aggregate histogram;
+* the exact analyzer must agree with an independent algorithm, a fully
+  associative LRU cache replaying the same block trace: by Mattson's
+  inclusion property, accesses, cold misses and hits must be equal at
+  every probed capacity (``ENGINE_CAPACITIES``);
 * predicted access counts must equal traced counts, and the predicted
   histogram's mass must equal the access count (both hold by
   construction — a violation is a bug, not model error);
@@ -28,15 +29,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cache.cache import CacheConfig, SetAssocCache
 from repro.cache.reuse import reuse_profile
+from repro.exec.blocktrace import compile_block_trace
 from repro.ir.nodes import Program
 from repro.locality.analytic import predict_locality
-from repro.locality.histogram import per_ref_profile, sampled_profile
 
-__all__ = ["LocalityMismatch", "check_locality", "MODEL_RATE_BOUND"]
+__all__ = [
+    "ENGINE_CAPACITIES",
+    "LocalityMismatch",
+    "MODEL_RATE_BOUND",
+    "check_locality",
+]
 
 #: Element-granularity line size used by the oracle.
 ORACLE_LINE = 8
+
+#: FA-LRU capacities (in lines) the analyzer is replayed against.
+ENGINE_CAPACITIES = (1, 16, 256)
 
 #: FA-LRU capacities (in lines) probed on the model path.
 MODEL_CAPACITIES = (16, 256)
@@ -63,30 +73,37 @@ def _first_histogram_diff(a, b) -> str:
     return "histograms identical"
 
 
+def _replay_counts(program: Program, line: int) -> list[tuple[int, int, int]]:
+    """(accesses, cold misses, hits) of FA-LRU caches over the block trace."""
+    caches = [
+        SetAssocCache(CacheConfig(f"fa{lines}", size=line * lines, assoc=lines, line=line))
+        for lines in ENGINE_CAPACITIES
+    ]
+
+    def on_block(block) -> None:
+        for cache in caches:
+            cache.access_block(block.addresses)
+
+    compile_block_trace(program).run(on_block)
+    return [(c.stats.accesses, c.stats.cold_misses, c.stats.hits) for c in caches]
+
+
 def check_locality(
     program: Program, line: int = ORACLE_LINE
 ) -> LocalityMismatch | None:
     """Run the full locality oracle on one program; None when clean."""
     trace = reuse_profile(program, line=line)
 
-    # Engine agreement: per-reference and batched engines must reproduce
-    # the reference histogram exactly (sampling off).
-    per_ref = per_ref_profile(program, line=line)
-    if per_ref.total.histogram != trace.histogram:
-        return LocalityMismatch(
-            "engines",
-            "-",
-            "per-reference engine diverges: "
-            + _first_histogram_diff(per_ref.total.histogram, trace.histogram),
-        )
-    block = sampled_profile(program, line=line, sample_rate=1.0)
-    if block.histogram != trace.histogram:
-        return LocalityMismatch(
-            "engines",
-            "-",
-            "block engine diverges: "
-            + _first_histogram_diff(block.histogram, trace.histogram),
-        )
+    replays = _replay_counts(program, line)
+    for lines, replay in zip(ENGINE_CAPACITIES, replays):
+        counts = (trace.accesses, trace.cold, trace.hits_for_capacity(lines))
+        if counts != replay:
+            return LocalityMismatch(
+                "engines",
+                "-",
+                f"{lines}-line FA-LRU replay (accesses, cold, hits) {replay} "
+                f"!= reuse profile {counts}",
+            )
 
     prediction = predict_locality(program, line=line)
     path = "exact" if prediction.exact else "model"

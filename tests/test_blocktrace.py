@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CACHE2, CacheConfig, Hierarchy, SetAssocCache
 from repro.exec import (
+    Interpreter,
     block_events,
     compile_block_trace,
-    resolve_engine,
     run_program,
     simulate,
 )
@@ -182,14 +182,10 @@ class TestBlockTraceStream:
 # Engine selection and end-to-end equality
 # ----------------------------------------------------------------------
 class TestEngineSelection:
-    def test_resolve_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_ENGINE", raising=False)
-        assert resolve_engine() == "block"
-        assert resolve_engine("event") == "event"
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "event")
-        assert resolve_engine() == "event"
-        with pytest.raises(ValueError):
-            resolve_engine("turbo")
+    def test_simulate_rejects_unknown_engine(self):
+        program = next(iter(suite_entries())).program(4)
+        with pytest.raises(ValueError, match="turbo"):
+            simulate(program, engine="turbo")
 
     def test_simulate_engines_identical(self):
         for entry in list(suite_entries())[:6]:
@@ -200,14 +196,33 @@ class TestEngineSelection:
             assert (a.cycles, a.operations) == (b.cycles, b.operations)
 
     def test_dual_hit_rates_engines_identical(self):
+        # Reference: the interpreter's events through a scalar cache, the
+        # focus statements tallied per access.
+        def reference(program, focus, init):
+            cache = SetAssocCache(CACHE2)
+            total = hits = cold = 0
+
+            def on_access(event):
+                nonlocal total, hits, cold
+                before = cache.stats.cold_misses
+                hit = cache.access(event.address, event.size, event.write)
+                if event.sid in focus:
+                    total += 1
+                    hits += hit
+                    cold += cache.stats.cold_misses - before
+
+            Interpreter(program, on_access=on_access, init=init).run()
+            focus_rate = hits / (total - cold) if total > cold else 1.0
+            return cache.stats.hit_rate(), focus_rate
+
         for entry in list(suite_entries())[:4]:
             program = entry.program(12)
             final = compound(program, CostModel(cls=4)).program
             focus = changed_sids(program, final)
             for version in (program, final):
-                assert dual_hit_rates(
-                    version, CACHE2, focus, engine="block"
-                ) == dual_hit_rates(version, CACHE2, focus, engine="event")
+                assert dual_hit_rates(version, CACHE2, focus) == reference(
+                    version, focus, entry.init
+                ), entry.name
 
 
 # ----------------------------------------------------------------------

@@ -221,6 +221,21 @@ class TestLocalitySubcommand:
         assert "traced" in proc.stdout and "err" in proc.stdout
         assert "32 lines" in proc.stdout and "512 lines" in proc.stdout
 
+    def test_compare_past_access_limit_is_an_error(self, source_file, monkeypatch, capsys):
+        # The 16**3 matmul issues 16384 accesses; cap the analyzer below that.
+        import functools
+
+        import repro.cache.reuse as reuse
+        from repro.__main__ import main
+
+        monkeypatch.setattr(
+            reuse, "reuse_profile", functools.partial(reuse.reuse_profile, max_accesses=1000)
+        )
+        assert main(["locality", source_file, "--compare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_accesses=1000" in err
+        assert "Traceback" not in err
+
     def test_set_associative_row(self, source_file):
         proc = run_cli("locality", source_file, "--sets", "64", "--assoc", "4")
         assert proc.returncode == 0

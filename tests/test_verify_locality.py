@@ -68,6 +68,27 @@ END"""
         assert isinstance(mismatch, LocalityMismatch)
         assert mismatch.where == "model"
 
+    def test_shifted_reuse_bucket_is_caught(self, monkeypatch):
+        # Moving the distance-0 reuses to distance 1 keeps the access and
+        # cold counts; only the FA-LRU replay at one line can tell.
+        import repro.verify.localitycheck as lc
+
+        real = lc.reuse_profile
+
+        def shifted(program, line=128, params=None, max_accesses=1 << 25):
+            profile = real(program, line=line, params=params, max_accesses=max_accesses)
+            profile.histogram[1] += profile.histogram.pop(0)
+            return profile
+
+        monkeypatch.setattr(lc, "reuse_profile", shifted)
+        program = parse_program(
+            "PROGRAM p\nREAL A(8)\nDO I = 1, 8\nA(I) = A(I) + 1.0\nENDDO\nEND"
+        )
+        mismatch = check_locality(program)
+        assert isinstance(mismatch, LocalityMismatch)
+        assert mismatch.where == "engines"
+        assert "1-line FA-LRU replay" in mismatch.detail
+
     def test_probed_capacities_are_sane(self):
         assert all(c > 0 for c in MODEL_CAPACITIES)
 
