@@ -69,44 +69,16 @@ from __future__ import annotations
 import os
 import sys
 
-from repro import __version__
+from repro import __version__, cli
 from repro.cache import CACHE1, CACHE2
 from repro.errors import ReproError
 from repro.exec import Machine, simulate
 from repro.frontend import parse_program
 from repro.ir import pretty_program
 from repro.model import CostModel
-from repro.obs import NULL_OBS, Obs, use_obs, write_jsonl
-from repro.stats.report import render_metrics, render_remarks
 from repro.transforms import compound, scalar_replace_program
 
 _CACHES = {"cache1": CACHE1, "cache2": CACHE2}
-
-
-def _append_ledger(
-    kind: str,
-    argv: list[str],
-    obs,
-    *,
-    config: dict | None = None,
-    bench: dict | None = None,
-) -> str | None:
-    """Append this invocation to the run ledger.
-
-    Raises :class:`repro.obs.LedgerError` when the ledger directory is
-    unwritable — callers turn that into a clean non-zero exit.
-    """
-    from repro.obs import ledger
-
-    record = ledger.make_record(
-        kind,
-        argv,
-        config=config,
-        phases=ledger.phases_from_obs(obs) if obs.enabled else {},
-        metrics=ledger.counters_from_obs(obs) if obs.enabled else {},
-        bench=bench,
-    )
-    return ledger.append_record(record)
 
 
 _VERIFY_HELP = """\
@@ -136,67 +108,28 @@ Environment:
 """
 
 
-def _verify_main(args: list[str]) -> int:
+def _verify_main(args: cli.Args) -> int:
     from repro.seeds import base_seed
     from repro.verify.runner import run_fuzz
 
-    if "-h" in args or "--help" in args:
-        print(_VERIFY_HELP)
+    if args.help(_VERIFY_HELP):
         return 0
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    want_shrink = flag("--shrink")
-    want_explain = flag("--explain")
-    want_metrics = flag("--metrics")
-    try:
-        fuzz = int(option("--fuzz", "50"))
-        seed = int(option("--seed", str(base_seed())))
-    except ValueError as exc:
-        print(f"verify: expected an integer: {exc}", file=sys.stderr)
-        return 2
-    if args:
-        print(f"verify: unknown arguments {args}", file=sys.stderr)
-        return 2
+    want_shrink = args.flag("--shrink")
+    session = cli.Session(args, ("--explain", "--metrics"))
+    fuzz = args.int_option("--fuzz", 50)
+    seed = args.int_option("--seed", base_seed())
+    args.positional(0)
     budget = os.environ.get("REPRO_FUZZ_BUDGET", "")
     if budget:
-        try:
-            fuzz = max(fuzz, int(budget))
-        except ValueError:
-            print(
-                f"REPRO_FUZZ_BUDGET must be an integer, got {budget!r}",
-                file=sys.stderr,
-            )
-            return 2
+        fuzz = max(fuzz, cli.parse_int("REPRO_FUZZ_BUDGET", budget))
 
-    obs = Obs() if (want_explain or want_metrics) else NULL_OBS
-    with use_obs(obs if obs is not NULL_OBS else None):
+    with session:
         report = run_fuzz(fuzz, seed=seed, shrink=want_shrink)
     print(report.summary())
     for failure in report.failures:
         print()
         print(failure.repro_script())
-    if want_explain:
-        print("\n--- verify remarks ---", file=sys.stderr)
-        print(render_remarks(obs.remarks, title=""), file=sys.stderr)
-    if want_metrics:
-        print("\n--- verify metrics ---", file=sys.stderr)
-        print(render_metrics(obs.metrics, title=""), file=sys.stderr)
-    return 0 if report.ok else 1
+    return session.finish() or (0 if report.ok else 1)
 
 
 _LOCALITY_HELP = """\
@@ -219,53 +152,29 @@ Options:
 """
 
 
-def _locality_main(args: list[str]) -> int:
+def _locality_main(args: cli.Args) -> int:
     from repro.locality import predict_locality
 
-    if "-h" in args or "--help" in args:
-        print(_LOCALITY_HELP)
+    if args.help(_LOCALITY_HELP):
         return 0
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    want_compare = flag("--compare")
-    want_explain = flag("--explain")
-    try:
-        line = int(option("--line", "128"))
-        capacities = [int(c) for c in option("--capacities", "64,512").split(",")]
-        sets = int(option("--sets", "0"))
-        assoc = int(option("--assoc", "2"))
-    except ValueError as exc:
-        print(f"locality: expected an integer: {exc}", file=sys.stderr)
-        return 2
-    if len(args) != 1:
-        print("locality: exactly one input file expected; see --help",
-              file=sys.stderr)
-        return 2
-    try:
-        with open(args[0]) as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args[0]}: {exc}", file=sys.stderr)
+    want_compare = args.flag("--compare")
+    session = cli.Session(args, ("--explain",))
+    line = args.int_option("--line", 128)
+    capacities = [
+        cli.parse_int("--capacities", c)
+        for c in args.option("--capacities", "64,512").split(",")
+    ]
+    sets = args.int_option("--sets", 0)
+    assoc = args.int_option("--assoc", 2)
+    (source_path,) = args.positional(
+        1, "locality: exactly one input file expected; see --help"
+    )
+    source = cli.read_source(source_path)
+    if source is None:
         return 1
 
-    obs = Obs() if want_explain else NULL_OBS
     try:
-        with use_obs(obs if obs is not NULL_OBS else None):
+        with session:
             program = parse_program(source)
             prediction = predict_locality(program, line=line)
     except (ReproError, ValueError) as exc:
@@ -309,10 +218,7 @@ def _locality_main(args: list[str]) -> int:
             f"  {sets} sets x {assoc}-way "
             f"({sets * assoc * line // 1024} KB): predicted hit rate {rate:.2%}"
         )
-    if want_explain:
-        print("\n--- locality remarks ---", file=sys.stderr)
-        print(render_remarks(obs.remarks, title=""), file=sys.stderr)
-    return 0
+    return session.finish()
 
 
 _LINT_HELP = """\
@@ -351,80 +257,42 @@ to error); 2 on usage errors.
 """
 
 
-def _lint_main(args: list[str]) -> int:
+def _lint_main(args: cli.Args) -> int:
     import json as _json
 
     from repro.lint import apply_fixes, lint_program, render_text, to_sarif
 
-    if "-h" in args or "--help" in args:
-        print(_LINT_HELP)
+    if args.help(_LINT_HELP):
         return 0
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    want_fix = flag("--fix")
-    no_verify = flag("--no-verify")
-    want_explain = flag("--explain")
-    want_metrics = flag("--metrics")
-    no_ledger = flag("--no-ledger")
-    fmt = option("--format", "text")
-    sarif_path = option("--sarif", "")
-    checks_text = option("--checks", "")
-    out_path = option("-o", "")
-    try:
-        line = int(option("--line", "128"))
-        capacity = int(option("--capacity", "512"))
-    except ValueError as exc:
-        print(f"lint: expected an integer: {exc}", file=sys.stderr)
-        return 2
+    want_fix = args.flag("--fix")
+    no_verify = args.flag("--no-verify")
+    session = cli.Session(args, ("--explain", "--metrics", "--no-ledger"), kind="lint")
+    fmt = args.option("--format", "text")
+    sarif_path = args.option("--sarif")
+    checks_text = args.option("--checks")
+    out_path = args.option("-o")
+    line = args.int_option("--line", 128)
+    capacity = args.int_option("--capacity", 512)
     if fmt not in ("text", "json"):
-        print(f"lint: unknown format {fmt!r}; choose text or json",
-              file=sys.stderr)
-        return 2
-    bad = [a for a in args if a.startswith("-")]
-    if bad:
-        print(f"lint: unknown arguments {bad}", file=sys.stderr)
-        return 2
-    if not args:
-        print("lint: at least one input file expected; see --help",
-              file=sys.stderr)
-        return 2
-    if want_fix and len(args) != 1:
-        print("lint: --fix expects exactly one input file", file=sys.stderr)
-        return 2
+        raise cli.UsageError(f"lint: unknown format {fmt!r}; choose text or json")
+    paths = args.positional()
+    if not paths:
+        raise cli.UsageError("lint: at least one input file expected; see --help")
+    if want_fix and len(paths) != 1:
+        raise cli.UsageError("lint: --fix expects exactly one input file")
     if want_fix and no_verify:
-        print("lint: --fix requires verification; drop --no-verify",
-              file=sys.stderr)
-        return 2
+        raise cli.UsageError("lint: --fix requires verification; drop --no-verify")
     checks = tuple(c for c in checks_text.split(",") if c) or None
 
-    obs = Obs() if (want_explain or want_metrics) else NULL_OBS
     results: list[tuple] = []  # (LintResult, path)
     payloads: list[dict] = []
     report_lines: list[str] = []
     fixed_text = ""
     parse_failed = False
-    with use_obs(obs if obs is not NULL_OBS else None):
-        for path in args:
-            try:
-                with open(path) as handle:
-                    source = handle.read()
-            except OSError as exc:
-                print(f"cannot read {path}: {exc}", file=sys.stderr)
+    with session:
+        for path in paths:
+            source = cli.read_source(path)
+            if source is None:
                 return 1
             try:
                 program = parse_program(source)
@@ -477,35 +345,15 @@ def _lint_main(args: list[str]) -> int:
         )
     else:
         report = "\n".join(report_lines)
-    if want_fix:
-        # The fixed program is the primary output; the report narrates.
-        if report:
-            print(report, file=sys.stderr)
-        if out_path:
-            try:
-                with open(out_path, "w") as handle:
-                    handle.write(fixed_text + "\n")
-            except OSError as exc:
-                print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-                return 1
-        elif fixed_text:
-            print(fixed_text)
-    elif out_path:
-        try:
-            with open(out_path, "w") as handle:
-                handle.write(report + "\n")
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-            return 1
-    elif report:
-        print(report)
+    # With --fix the fixed program is the primary output; the report narrates.
+    text = fixed_text if want_fix else report
+    if want_fix and report:
+        print(report, file=sys.stderr)
+    if (out_path or text) and not cli.output(out_path, text):
+        return 1
 
     if sarif_path:
-        try:
-            with open(sarif_path, "w") as handle:
-                handle.write(to_sarif(results) + "\n")
-        except OSError as exc:
-            print(f"cannot write {sarif_path}: {exc}", file=sys.stderr)
+        if not cli.write_text(sarif_path, to_sarif(results) + "\n"):
             return 1
         total = sum(len(result.diagnostics) for result, _ in results)
         print(
@@ -514,34 +362,17 @@ def _lint_main(args: list[str]) -> int:
             file=sys.stderr,
         )
 
-    if want_explain:
-        print("\n--- lint remarks ---", file=sys.stderr)
-        print(render_remarks(obs.remarks, title=""), file=sys.stderr)
-    if want_metrics:
-        print("\n--- lint metrics ---", file=sys.stderr)
-        print(render_metrics(obs.metrics, title=""), file=sys.stderr)
-    if not no_ledger:
-        from repro.obs import LedgerError
-
-        try:
-            _append_ledger(
-                "lint",
-                args,
-                obs,
-                config={
-                    "line": line,
-                    "capacity": capacity,
-                    "fix": want_fix,
-                    "verify": not no_verify,
-                    "checks": list(checks) if checks else "all",
-                },
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
     errors = sum(result.errors for result, _ in results)
-    return 1 if (parse_failed or errors) else 0
+    return session.finish(
+        argv=paths,
+        config={
+            "line": line,
+            "capacity": capacity,
+            "fix": want_fix,
+            "verify": not no_verify,
+            "checks": list(checks) if checks else "all",
+        },
+    ) or (1 if (parse_failed or errors) else 0)
 
 
 _AUTOTUNE_HELP = """\
@@ -576,62 +407,29 @@ Options:
 """
 
 
-def _autotune_main(args: list[str]) -> int:
+def _autotune_main(args: cli.Args) -> int:
     from repro.autotune import autotune
-    from repro.model import CostModel
 
-    if "-h" in args or "--help" in args:
-        print(_AUTOTUNE_HELP)
+    if args.help(_AUTOTUNE_HELP):
         return 0
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    want_compare = flag("--compare-sim")
-    no_verify = flag("--no-verify")
-    want_explain = flag("--explain")
-    want_metrics = flag("--metrics")
-    no_ledger = flag("--no-ledger")
-    out_path = option("-o", "")
-    try:
-        budget = int(option("--budget", "128"))
-        beam = int(option("--beam", "4"))
-        topk = int(option("--topk", "5"))
-        line = int(option("--line", "128"))
-        capacity = int(option("--capacity", "512"))
-        cls = int(option("--cls", str(max(1, line // 8))))
-        jobs_text = option("--jobs", "")
-        jobs = int(jobs_text) if jobs_text else None
-    except ValueError as exc:
-        print(f"autotune: expected an integer: {exc}", file=sys.stderr)
-        return 2
-    if len(args) != 1:
-        print("autotune: exactly one input file expected; see --help",
-              file=sys.stderr)
-        return 2
-    try:
-        with open(args[0]) as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args[0]}: {exc}", file=sys.stderr)
+    want_compare = args.flag("--compare-sim")
+    no_verify = args.flag("--no-verify")
+    session = cli.Session(args, ("--explain", "--metrics", "--no-ledger"), kind="autotune")
+    out_path = args.option("-o")
+    budget = args.int_option("--budget", 128)
+    beam = args.int_option("--beam", 4)
+    topk = args.int_option("--topk", 5)
+    line = args.int_option("--line", 128)
+    capacity = args.int_option("--capacity", 512)
+    cls = args.int_option("--cls", max(1, line // 8))
+    jobs = args.int_option("--jobs", None)
+    files = args.positional(1, "autotune: exactly one input file expected; see --help")
+    source = cli.read_source(files[0])
+    if source is None:
         return 1
 
-    obs = Obs() if (want_explain or want_metrics) else NULL_OBS
     try:
-        with use_obs(obs if obs is not NULL_OBS else None):
+        with session:
             program = parse_program(source)
             result = autotune(
                 program,
@@ -649,17 +447,8 @@ def _autotune_main(args: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    text = pretty_program(result.best.program)
-    if out_path:
-        try:
-            with open(out_path, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        print(text)
-
+    if not cli.output(out_path, pretty_program(result.best.program)):
+        return 1
     best = result.best
     assert best.cost is not None and result.original.cost is not None
     print(
@@ -692,44 +481,28 @@ def _autotune_main(args: list[str]) -> int:
                 file=sys.stderr,
             )
 
-    if want_explain:
-        print("\n--- autotune remarks ---", file=sys.stderr)
-        print(render_remarks(obs.remarks, title=""), file=sys.stderr)
-    if want_metrics:
-        print("\n--- autotune metrics ---", file=sys.stderr)
-        print(render_metrics(obs.metrics, title=""), file=sys.stderr)
-    if not no_ledger:
-        from repro.obs import LedgerError
-
-        try:
-            _append_ledger(
-                "autotune",
-                args,
-                obs,
-                config={
-                    "line": line,
-                    "capacity": capacity,
-                    "cls": cls,
-                    "budget": budget,
-                    "beam": beam,
-                    "topk": topk,
-                    "compare_sim": want_compare,
-                    "verify": not no_verify,
-                },
-                bench={
-                    "program": program.name,
-                    "candidates": len(result.ranked),
-                    "evals": result.evaluated,
-                    "miss_ratio_before": result.original.cost.miss_ratio,
-                    "miss_ratio_after": best.cost.miss_ratio,
-                    "elapsed_s": result.elapsed_s,
-                    "verified": result.verified,
-                },
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return 0
+    return session.finish(
+        argv=files,
+        config={
+            "line": line,
+            "capacity": capacity,
+            "cls": cls,
+            "budget": budget,
+            "beam": beam,
+            "topk": topk,
+            "compare_sim": want_compare,
+            "verify": not no_verify,
+        },
+        bench={
+            "program": program.name,
+            "candidates": len(result.ranked),
+            "evals": result.evaluated,
+            "miss_ratio_before": result.original.cost.miss_ratio,
+            "miss_ratio_after": best.cost.miss_ratio,
+            "elapsed_s": result.elapsed_s,
+            "verified": result.verified,
+        },
+    )
 
 
 _REPORT_HELP = """\
@@ -753,62 +526,32 @@ Environment:
 """
 
 
-def _report_main(args: list[str]) -> int:
+def _report_main(args: cli.Args) -> int:
     from repro.obs.ledger import LedgerError, read_ledger
     from repro.obs.report import render_report
 
-    if "-h" in args or "--help" in args:
-        print(_REPORT_HELP)
+    if args.help(_REPORT_HELP):
         return 0
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    fmt = option("--format", "md")
-    directory = option("--ledger", "") or None
-    out_path = option("-o", "")
-    try:
-        last = int(option("--last", "20"))
-    except ValueError as exc:
-        print(f"report: expected an integer: {exc}", file=sys.stderr)
-        return 2
-    if args:
-        print(f"report: unknown arguments {args}", file=sys.stderr)
-        return 2
+    fmt = args.option("--format", "md")
+    directory = args.option("--ledger") or None
+    out_path = args.option("-o")
+    last = args.int_option("--last", 20)
+    args.positional(0)
     try:
         records = read_ledger(directory)
         text = render_report(records, fmt=fmt, history=last)
     except (LedgerError, ValueError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 1
-    if out_path:
-        try:
-            with open(out_path, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"wrote {fmt} report over {len(records)} ledgered runs to {out_path}",
-            file=sys.stderr,
-        )
-    else:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # Reader (e.g. `| head`) closed stdout early — not an error.
-            # Point stdout at /dev/null so the interpreter-exit flush
-            # doesn't raise again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
+    if not out_path:
+        cli.emit(text)
+        return 0
+    if not cli.write_text(out_path, text):
+        return 1
+    print(
+        f"wrote {fmt} report over {len(records)} ledgered runs to {out_path}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -835,41 +578,18 @@ before exiting.
 """
 
 
-def _serve_main(args: list[str]) -> int:
-    if "-h" in args or "--help" in args:
-        try:
-            print(_SERVE_HELP)
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+def _serve_main(args: cli.Args) -> int:
+    if args.help(_SERVE_HELP):
         return 0
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    host = option("--host", "")
-    port_text = option("--port", "")
-    jobs_text = option("--jobs", "")
-    if args:
-        print(f"serve: unknown arguments {args}", file=sys.stderr)
-        return 2
-    overrides: dict = {}
-    if host:
-        overrides["host"] = host
-    try:
-        if port_text:
-            overrides["port"] = int(port_text)
-        if jobs_text:
-            overrides["jobs"] = int(jobs_text)
-    except ValueError as exc:
-        print(f"serve: expected an integer: {exc}", file=sys.stderr)
-        return 2
+    host = args.option("--host") or None
+    port = args.int_option("--port", None)
+    jobs = args.int_option("--jobs", None)
+    args.positional(0)
+    overrides = {
+        key: value
+        for key, value in (("host", host), ("port", port), ("jobs", jobs))
+        if value is not None
+    }
     from repro.server import ServerConfig, serve
 
     try:
@@ -880,203 +600,106 @@ def _serve_main(args: list[str]) -> int:
     return serve(config)
 
 
-def main(argv: list[str]) -> int:
-    args = list(argv)
-    if args and args[0] == "verify":
-        return _verify_main(args[1:])
-    if args and args[0] == "locality":
-        return _locality_main(args[1:])
-    if args and args[0] == "lint":
-        return _lint_main(args[1:])
-    if args and args[0] == "report":
-        return _report_main(args[1:])
-    if args and args[0] == "autotune":
-        return _autotune_main(args[1:])
-    if args and args[0] == "serve":
-        return _serve_main(args[1:])
-    if "--version" in args:
+def _translate_main(args: cli.Args) -> int:
+    if "--version" in args.rest:
         print(f"repro {__version__}")
         return 0
-    if not args or "-h" in args or "--help" in args:
+    if not args.rest:
         print(__doc__)
-        return 0 if args else 2
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    def option(name: str, default: str) -> str:
-        if name in args:
-            index = args.index(name)
-            args.pop(index)
-            if index >= len(args):
-                print(f"missing value for {name}", file=sys.stderr)
-                raise SystemExit(2)
-            return args.pop(index)
-        return default
-
-    want_report = flag("--report")
-    want_simulate = flag("--simulate")
-    want_scalar = flag("--scalar-replace")
-    want_explain = flag("--explain")
-    want_metrics = flag("--metrics")
-    want_profile = flag("--profile")
-    no_ledger = flag("--no-ledger")
-    cls_text = option("--cls", "4")
-    try:
-        cls = int(cls_text)
-    except ValueError:
-        print(f"--cls expects an integer, got {cls_text!r}", file=sys.stderr)
         return 2
-    cache_name = option("--cache", "cache2")
-    trace_path = option("--trace", "")
-    chrome_path = option("--chrome-trace", "")
-    out_path = option("-o", "")
-    if cache_name not in _CACHES:
-        print(f"unknown cache {cache_name!r}; choose from {sorted(_CACHES)}",
-              file=sys.stderr)
-        return 2
-    if len(args) != 1:
-        print("exactly one input file expected; see --help", file=sys.stderr)
-        return 2
-
-    try:
-        with open(args[0]) as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args[0]}: {exc}", file=sys.stderr)
-        return 1
-
+    if args.help(__doc__):
+        return 0
+    want_report = args.flag("--report")
+    want_simulate = args.flag("--simulate")
+    want_scalar = args.flag("--scalar-replace")
     # One observability context for every flag: --explain/--metrics/
     # --profile/--trace/--chrome-trace compose over a single span/metric
     # sink, so combining them never duplicates records.
-    want_obs = (
-        want_explain or want_metrics or want_profile or trace_path or chrome_path
+    session = cli.Session(
+        args,
+        ("--explain", "--metrics", "--profile", "--no-ledger", "--trace", "--chrome-trace"),
+        kind="cli",
+        headings=("optimization remarks", "metrics"),
     )
-    obs = Obs(profile=want_profile) if want_obs else NULL_OBS
-    tracing_memory = False
-    if want_profile:
-        import tracemalloc
+    cls = args.int_option("--cls", 4)
+    cache_name = args.option("--cache", "cache2")
+    out_path = args.option("-o")
+    if cache_name not in _CACHES:
+        raise cli.UsageError(
+            f"unknown cache {cache_name!r}; choose from {sorted(_CACHES)}"
+        )
+    (path,) = args.positional(1, "exactly one input file expected; see --help")
+    source = cli.read_source(path)
+    if source is None:
+        return 1
 
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            tracing_memory = True
-    try:
-        with use_obs(obs if obs is not NULL_OBS else None):
+    with session:
+        try:
             program = parse_program(source)
-            model = CostModel(cls=cls)
-            outcome = compound(program, model)
+            outcome = compound(program, CostModel(cls=cls))
             final = outcome.program
             replaced = 0
             if want_scalar:
                 result = scalar_replace_program(final)
                 final = result.program
                 replaced = result.replaced
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    text = pretty_program(final)
-    if out_path:
-        try:
-            with open(out_path, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        print(text)
-
-    if want_report:
-        print("\n--- transformation report ---", file=sys.stderr)
-        for report in outcome.nests:
-            line = (
-                f"nest {report.nest_index}: depth {report.depth}, "
-                f"memory order {report.status}, inner loop {report.inner_status}"
-            )
-            if report.fusion_enabled_permutation:
-                line += ", fusion enabled permutation"
-            if report.distributed:
-                line += f", distributed into {report.nests_created} nests"
-            if report.reversal_used:
-                line += ", reversal used"
-            print(line, file=sys.stderr)
-        print(
-            f"fusion: {outcome.nests_fused}/{outcome.fusion_candidates} "
-            f"candidate nests fused; distribution applied "
-            f"{outcome.distribution_applied} time(s)",
-            file=sys.stderr,
-        )
-        if want_scalar:
-            print(f"scalar replacement: {replaced} refs promoted", file=sys.stderr)
-
-    if want_simulate:
-        machine = Machine(cache=_CACHES[cache_name], miss_penalty=20)
-        with use_obs(obs if obs is not NULL_OBS else None):
-            before = simulate(program, machine)
-            after = simulate(final, machine)
-        print(
-            f"\nsimulated on {cache_name}: cycles {before.cycles} -> "
-            f"{after.cycles} (speedup {before.cycles / max(after.cycles, 1):.2f}x), "
-            f"hit rate {before.hit_rate:.1%} -> {after.hit_rate:.1%}",
-            file=sys.stderr,
-        )
-
-    if want_explain:
-        print("\n--- optimization remarks ---", file=sys.stderr)
-        print(render_remarks(obs.remarks, title=""), file=sys.stderr)
-    if want_metrics:
-        print("\n--- metrics ---", file=sys.stderr)
-        print(render_metrics(obs.metrics, title=""), file=sys.stderr)
-    if want_profile:
-        from repro.obs import render_profile
-
-        if tracing_memory:
-            import tracemalloc
-
-            tracemalloc.stop()
-        print("\n--- phase profile ---", file=sys.stderr)
-        print(
-            render_profile(obs.tracer.spans, obs.metrics, title=""),
-            file=sys.stderr,
-        )
-    if trace_path:
-        try:
-            records = write_jsonl(obs, trace_path)
-        except OSError as exc:
-            print(f"cannot write {trace_path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {records} trace records to {trace_path}", file=sys.stderr)
-    if chrome_path:
-        from repro.obs import write_chrome_trace
-
-        try:
-            events = write_chrome_trace(obs, chrome_path)
-        except OSError as exc:
-            print(f"cannot write {chrome_path}: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"wrote {events} trace events to {chrome_path} "
-            f"(load at https://ui.perfetto.dev)",
-            file=sys.stderr,
-        )
-    if not no_ledger:
-        from repro.obs import LedgerError
-
-        try:
-            _append_ledger(
-                "cli",
-                list(argv),
-                obs,
-                config={"cls": cls, "cache": cache_name,
-                        "scalar_replace": want_scalar},
-            )
-        except LedgerError as exc:
+        except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    return 0
+        if not cli.output(out_path, pretty_program(final)):
+            return 1
+
+        if want_report:
+            print("\n--- transformation report ---", file=sys.stderr)
+            for report in outcome.nests:
+                line = (
+                    f"nest {report.nest_index}: depth {report.depth}, "
+                    f"memory order {report.status}, inner loop {report.inner_status}"
+                )
+                if report.fusion_enabled_permutation:
+                    line += ", fusion enabled permutation"
+                if report.distributed:
+                    line += f", distributed into {report.nests_created} nests"
+                if report.reversal_used:
+                    line += ", reversal used"
+                print(line, file=sys.stderr)
+            print(
+                f"fusion: {outcome.nests_fused}/{outcome.fusion_candidates} "
+                f"candidate nests fused; distribution applied "
+                f"{outcome.distribution_applied} time(s)",
+                file=sys.stderr,
+            )
+            if want_scalar:
+                print(f"scalar replacement: {replaced} refs promoted", file=sys.stderr)
+
+        if want_simulate:
+            machine = Machine(cache=_CACHES[cache_name], miss_penalty=20)
+            before = simulate(program, machine)
+            after = simulate(final, machine)
+            print(
+                f"\nsimulated on {cache_name}: cycles {before.cycles} -> "
+                f"{after.cycles} (speedup {before.cycles / max(after.cycles, 1):.2f}x), "
+                f"hit rate {before.hit_rate:.1%} -> {after.hit_rate:.1%}",
+                file=sys.stderr,
+            )
+
+    return session.finish(
+        config={"cls": cls, "cache": cache_name, "scalar_replace": want_scalar},
+    )
+
+
+_SUBCOMMANDS = {
+    "verify": _verify_main,
+    "locality": _locality_main,
+    "lint": _lint_main,
+    "report": _report_main,
+    "autotune": _autotune_main,
+    "serve": _serve_main,
+}
+
+
+def main(argv: list[str]) -> int:
+    return cli.dispatch(argv, _SUBCOMMANDS, _translate_main)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.errors import ExecutionError
 from repro.ir.affine import Affine
 from repro.ir.nodes import Assign, Loop, Program
+from repro.exec.blocktrace import _affine_expr, _static_ops
 from repro.exec.layout import MemoryLayout
 
 __all__ = ["CompiledTrace", "compile_trace"]
@@ -103,17 +103,6 @@ def _emit(
         _emit(child, env, layout, out, depth + 1)
 
 
-def _static_ops(stmt: Assign) -> int:
-    """Arithmetic operations per dynamic instance of the statement."""
-    from repro.ir.expr import Bin, Call
-
-    def count(expr) -> int:
-        total = 1 if isinstance(expr, (Bin, Call)) else 0
-        return total + sum(count(c) for c in expr.children())
-
-    return count(stmt.rhs)
-
-
 def _address_expr(ref, env: Mapping[str, int], layout: MemoryLayout) -> str:
     """Fold base + column-major strides into a single affine expression."""
     arr = layout[ref.array]
@@ -121,16 +110,3 @@ def _address_expr(ref, env: Mapping[str, int], layout: MemoryLayout) -> str:
     for sub, stride in zip(ref.subs, arr.strides):
         addr = addr + (sub.partial_evaluate(env) - 1) * stride
     return _affine_expr(addr, env)
-
-
-def _affine_expr(form: Affine, env: Mapping[str, int]) -> str:
-    form = form.partial_evaluate(env)
-    unknown = [n for n, _ in form.terms if not n.isidentifier()]
-    if unknown:
-        raise ExecutionError(f"cannot compile names {unknown} in {form}")
-    parts = [str(form.const)]
-    for name, coeff in form.terms:
-        if name in env:
-            continue  # already folded by partial_evaluate
-        parts.append(f"{coeff}*{name}" if coeff != 1 else name)
-    return " + ".join(parts)

@@ -26,47 +26,25 @@ import os
 import sys
 import time
 
+from repro import cli
 from repro.experiments import EXPERIMENTS, run_all
-from repro.obs import LedgerError, Obs, use_obs, write_chrome_trace, write_jsonl
 
 
-def main(argv: list[str]) -> int:
-    args = list(argv)
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    full = flag("--full")
-    want_profile = flag("--profile")
-    no_ledger = flag("--no-ledger")
-
-    def path_option(name: str) -> str | None:
-        if name not in args:
-            return None
-        index = args.index(name)
-        args.pop(index)
-        if index >= len(args):
-            print(f"missing value for {name}", file=sys.stderr)
-            raise SystemExit(2)
-        return args.pop(index)
-
-    save_dir = path_option("--save")
+def _run(args: cli.Args) -> int:
+    full = args.flag("--full")
+    # One context for every observability sink (see docs/observability.md).
+    session = cli.Session(
+        args, ("--profile", "--no-ledger", "--trace", "--chrome-trace"),
+        kind="experiments", observe="ledger",
+    )
+    save_dir = args.option("--save")
     if save_dir:
         os.makedirs(save_dir, exist_ok=True)
-    trace_path = path_option("--trace")
-    chrome_path = path_option("--chrome-trace")
-    jobs = path_option("--jobs")
+    jobs = args.option("--jobs", None)
     if jobs is not None:
-        try:
-            int(jobs)
-        except ValueError:
-            print(f"--jobs needs an integer, got {jobs!r}", file=sys.stderr)
-            raise SystemExit(2)
+        cli.parse_int("--jobs", jobs)
         os.environ["REPRO_JOBS"] = jobs
-    names = [a for a in args if not a.startswith("-")]
+    names = args.positional()
 
     def deliver(name: str, text: str) -> None:
         print(text)
@@ -75,74 +53,33 @@ def main(argv: list[str]) -> int:
             with open(os.path.join(save_dir, f"{name}.txt"), "w") as handle:
                 handle.write(text + "\n")
 
-    # One context for every observability sink (see docs/observability.md).
-    want_obs = bool(trace_path or chrome_path or want_profile or not no_ledger)
-    obs = Obs(profile=want_profile) if want_obs else None
-    tracing_memory = False
-    if want_profile:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            tracing_memory = True
+    unknown = [n for n in names if n not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiments: {unknown}")
+        print(f"available: {', '.join(EXPERIMENTS)}")
+        return 2
     ran: list[str] = []
-    if names:
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiments: {unknown}")
-            print(f"available: {', '.join(EXPERIMENTS)}")
-            return 2
-        with use_obs(obs) as active:
+    with session:
+        if names:
             for name in names:
                 module = EXPERIMENTS[name]
                 start = time.time()
-                with active.span(f"experiment.{name}"):
+                with session.obs.span(f"experiment.{name}"):
                     deliver(name, module.render(module.run()))
                 ran.append(name)
                 print(f"[{name}: {time.time() - start:.1f}s]\n")
-    else:
-        with use_obs(obs):
+        else:
             for name, text in run_all(quick=not full).items():
                 deliver(name, text)
                 ran.append(name)
-    if want_profile and obs is not None:
-        from repro.obs import render_profile
+    return session.finish(
+        config={"experiments": ran, "full": full,
+                "jobs": os.environ.get("REPRO_JOBS", "1")},
+    )
 
-        if tracing_memory:
-            import tracemalloc
 
-            tracemalloc.stop()
-        print("\n--- phase profile ---", file=sys.stderr)
-        print(render_profile(obs.tracer.spans, obs.metrics, title=""),
-              file=sys.stderr)
-    if obs is not None and trace_path:
-        records = write_jsonl(obs, trace_path)
-        print(f"wrote {records} trace records to {trace_path}", file=sys.stderr)
-    if obs is not None and chrome_path:
-        events = write_chrome_trace(obs, chrome_path)
-        print(
-            f"wrote {events} trace events to {chrome_path} "
-            f"(load at https://ui.perfetto.dev)",
-            file=sys.stderr,
-        )
-    if not no_ledger and obs is not None:
-        from repro.obs import ledger
-
-        try:
-            ledger.append_record(
-                ledger.make_record(
-                    "experiments",
-                    list(argv),
-                    config={"experiments": ran, "full": full,
-                            "jobs": os.environ.get("REPRO_JOBS", "1")},
-                    phases=ledger.phases_from_obs(obs),
-                    metrics=ledger.counters_from_obs(obs),
-                )
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return 0
+def main(argv: list[str]) -> int:
+    return cli.dispatch(argv, {}, _run, prog="experiments", doc=__doc__)
 
 
 if __name__ == "__main__":

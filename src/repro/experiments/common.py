@@ -75,7 +75,6 @@ def dual_hit_rates(
     program: Program,
     config: CacheConfig,
     focus_sids: frozenset[int],
-    init=None,
 ) -> tuple[float, float]:
     """(whole-program, focus-statements) hit rates under one cache.
 

@@ -71,9 +71,7 @@ def _entry_row(
     opt: dict[tuple[str, str], float] = {}
     for config_name, config in config_items:
         for version_name, version in (("orig", program), ("final", final)):
-            whole_rate, opt_rate = dual_hit_rates(
-                version, config, focus, init=entry.init
-            )
+            whole_rate, opt_rate = dual_hit_rates(version, config, focus)
             whole[(config_name, version_name)] = whole_rate
             opt[(config_name, version_name)] = opt_rate
     return HitRateRow(name, whole, opt, len(focus))

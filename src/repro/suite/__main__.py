@@ -36,36 +36,20 @@ from __future__ import annotations
 
 import sys
 
+from repro import cli
 from repro.ir.visit import iter_loops
 from repro.model import CostModel
-from repro.obs import LedgerError, Obs, use_obs
+from repro.obs import Obs, use_obs
 from repro.stats.report import render_table
 from repro.suite.registry import SETS, suite_entries
 from repro.transforms import compound
 
 
-def _flag(args: list[str], name: str) -> bool:
-    if name in args:
-        args.remove(name)
-        return True
-    return False
-
-
-def _option(args: list[str], name: str, default: str) -> str:
-    if name in args:
-        index = args.index(name)
-        args.pop(index)
-        if index >= len(args):
-            print(f"missing value for {name}", file=sys.stderr)
-            raise SystemExit(2)
-        return args.pop(index)
-    return default
-
-
-def _list_main(args: list[str]) -> int:
-    want_time = _flag(args, "--time")
-    no_ledger = _flag(args, "--no-ledger")
-    want_sets = _flag(args, "--sets")
+def _list_main(args: cli.Args) -> int:
+    want_time = args.flag("--time")
+    session = cli.Session(args, ("--no-ledger",), kind="suite" if want_time else None)
+    want_sets = args.flag("--sets")
+    categories = tuple(args.positional()) or None
     if want_sets:
         rows = [
             {
@@ -77,7 +61,6 @@ def _list_main(args: list[str]) -> int:
         ]
         print(render_table(rows, title=f"Suite sets ({len(rows)})"))
         return 0
-    categories = tuple(args) or None
 
     rows = []
     timings: dict[str, dict[str, float]] = {}
@@ -108,63 +91,38 @@ def _list_main(args: list[str]) -> int:
             }
         rows.append(row)
     print(render_table(rows, title=f"Suite registry ({len(rows)} programs)"))
-    if want_time and not no_ledger:
-        from repro.obs import ledger
-
-        try:
-            ledger.append_record(
-                ledger.make_record(
-                    "suite",
-                    list(args) + (["--time"] if want_time else []),
-                    config={"categories": list(categories or ()),
-                            "programs": len(rows)},
-                    phases=timings,
-                )
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return 0
+    return session.finish(
+        argv=[*args.rest, "--time"],
+        config={"categories": list(categories or ()), "programs": len(rows)},
+        phases=timings,
+    )
 
 
-def _run_main(args: list[str]) -> int:
-    from repro.obs import ledger
+def _run_main(args: cli.Args) -> int:
     from repro.obs.report import render_set_report
     from repro.suite.runner import DEFAULT_CAPACITY, DEFAULT_LINE, run_set
 
-    no_ledger = _flag(args, "--no-ledger")
-    instance = _option(args, "--instance", "medium")
-    report_path = _option(args, "--report", "")
-    fmt = _option(args, "--format", "")
-    try:
-        jobs_text = _option(args, "--jobs", "")
-        jobs = int(jobs_text) if jobs_text else None
-        line = int(_option(args, "--line", str(DEFAULT_LINE)))
-        capacity = int(_option(args, "--capacity", str(DEFAULT_CAPACITY)))
-    except ValueError as exc:
-        print(f"suite run: expected an integer: {exc}", file=sys.stderr)
-        return 2
+    session = cli.Session(args, ("--no-ledger",), kind="suite.set", observe="always")
+    instance = args.option("--instance", "medium")
+    report_path = args.option("--report")
+    fmt = args.option("--format")
+    jobs = args.int_option("--jobs", None)
+    line = args.int_option("--line", DEFAULT_LINE)
+    capacity = args.int_option("--capacity", DEFAULT_CAPACITY)
     if not fmt:
         fmt = "html" if report_path.endswith((".html", ".htm")) else "md"
     if fmt not in ("md", "html"):
-        print(f"suite run: unknown format {fmt!r}; choose md or html",
-              file=sys.stderr)
-        return 2
-    bad = [a for a in args if a.startswith("-")]
-    if bad:
-        print(f"suite run: unknown arguments {bad}", file=sys.stderr)
-        return 2
-    if len(args) != 1:
-        print("suite run: exactly one set name expected; see --help "
-              "(python -m repro.suite list --sets shows the sets)",
-              file=sys.stderr)
-        return 2
+        raise cli.UsageError(f"suite run: unknown format {fmt!r}; choose md or html")
+    (set_name,) = args.positional(
+        1,
+        "suite run: exactly one set name expected; see --help "
+        "(python -m repro.suite list --sets shows the sets)",
+    )
 
-    obs = Obs()
     try:
-        with use_obs(obs):
+        with session:
             result = run_set(
-                args[0], instance=instance, jobs=jobs, line=line,
+                set_name, instance=instance, jobs=jobs, line=line,
                 capacity=capacity,
             )
     except KeyError as exc:
@@ -203,12 +161,7 @@ def _run_main(args: list[str]) -> int:
         print(f"FAILED {failure.name}: {failure.error}", file=sys.stderr)
 
     if report_path:
-        text = render_set_report(payload, fmt=fmt)
-        try:
-            with open(report_path, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"cannot write {report_path}: {exc}", file=sys.stderr)
+        if not cli.write_text(report_path, render_set_report(payload, fmt=fmt)):
             return 1
         print(
             f"wrote {fmt} report over {payload['entries']} entries to "
@@ -216,40 +169,24 @@ def _run_main(args: list[str]) -> int:
             file=sys.stderr,
         )
 
-    if not no_ledger:
-        try:
-            ledger.append_record(
-                ledger.make_record(
-                    "suite.set",
-                    [result.set_name],
-                    config={
-                        "set": result.set_name,
-                        "instance": result.instance,
-                        "jobs": result.jobs,
-                        "line": result.line,
-                        "capacity": result.capacity,
-                    },
-                    phases=ledger.phases_from_obs(obs),
-                    metrics=ledger.counters_from_obs(obs),
-                    bench=result.ledger_payload(),
-                )
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return 0 if result.ok else 1
+    return session.finish(
+        argv=[result.set_name],
+        config={
+            "set": result.set_name,
+            "instance": result.instance,
+            "jobs": result.jobs,
+            "line": result.line,
+            "capacity": result.capacity,
+        },
+        bench=result.ledger_payload(),
+    ) or (0 if result.ok else 1)
 
 
 def main(argv: list[str]) -> int:
-    args = list(argv)
-    if "-h" in args or "--help" in args:
-        print(__doc__)
-        return 0
-    if args and args[0] == "run":
-        return _run_main(args[1:])
-    if args and args[0] == "list":
-        return _list_main(args[1:])
-    return _list_main(args)
+    return cli.dispatch(
+        argv, {"run": _run_main, "list": _list_main}, _list_main,
+        prog="suite", doc=__doc__,
+    )
 
 
 if __name__ == "__main__":

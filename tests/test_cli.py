@@ -257,3 +257,147 @@ class TestLocalitySubcommand:
         proc = run_cli("verify", "--fuzz", "2", env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "seed 3" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# Behaviour lock: every entry point x the failure modes of its command
+# line, run in-process through each ``main()``.
+
+#: entry point -> (module whose main() runs it, leading argv)
+ENTRY_POINTS = {
+    "cli": ("repro.__main__", []),
+    "verify": ("repro.__main__", ["verify"]),
+    "locality": ("repro.__main__", ["locality"]),
+    "lint": ("repro.__main__", ["lint"]),
+    "autotune": ("repro.__main__", ["autotune"]),
+    "report": ("repro.__main__", ["report"]),
+    "experiments": ("repro.experiments.__main__", []),
+    "suite list": ("repro.suite.__main__", ["list"]),
+    "suite run": ("repro.suite.__main__", ["run"]),
+}
+
+SRC, BAD = "{src}", "{bad}"  # the source file; a path in a missing directory
+
+#: case -> entry point -> (argv, expected exit code, text the output must hold)
+MATRIX = {
+    "help": {name: (["--help"], 0, "") for name in ENTRY_POINTS},
+    "missing_value": {
+        "cli": ([SRC, "--cls"], 2, "missing value for --cls"),
+        "verify": (["--fuzz"], 2, "missing value for --fuzz"),
+        "locality": ([SRC, "--line"], 2, "missing value for --line"),
+        "lint": ([SRC, "--format"], 2, "missing value for --format"),
+        "autotune": ([SRC, "--budget"], 2, "missing value for --budget"),
+        "report": (["--format"], 2, "missing value for --format"),
+        "experiments": (["table1", "--trace"], 2, "missing value for --trace"),
+        "suite run": (["smoke", "--instance"], 2, "missing value for --instance"),
+    },
+    "not_an_integer": {
+        "cli": ([SRC, "--cls", "x"], 2, "integer"),
+        "verify": (["--fuzz", "x"], 2, "integer"),
+        "locality": ([SRC, "--line", "x"], 2, "integer"),
+        "lint": ([SRC, "--line", "x"], 2, "integer"),
+        "autotune": ([SRC, "--budget", "x"], 2, "integer"),
+        "report": (["--last", "x"], 2, "integer"),
+        "experiments": (["table1", "--jobs", "x"], 2, "integer"),
+        "suite run": (["smoke", "--jobs", "x"], 2, "integer"),
+    },
+    "unknown_flag": {
+        "cli": ([SRC, "--bogus"], 2, ""),
+        "verify": (["--bogus"], 2, "unknown arguments"),
+        "locality": ([SRC, "--bogus"], 2, ""),
+        "lint": ([SRC, "--bogus"], 2, "unknown arguments"),
+        "autotune": ([SRC, "--bogus"], 2, ""),
+        "report": (["--bogus"], 2, "unknown arguments"),
+        "experiments": (["table1", "--bogus"], 2, "unknown arguments"),
+        "suite list": (["--bogus"], 2, "unknown arguments"),
+        "suite run": (["smoke", "--bogus"], 2, "unknown arguments"),
+    },
+    "unwritable_output": {
+        "cli": ([SRC, "-o", BAD], 1, "cannot write"),
+        "lint": ([SRC, "--no-verify", "-o", BAD], 1, "cannot write"),
+        "autotune": ([SRC, "--budget", "4", "-o", BAD], 1, "cannot write"),
+        "report": (["-o", BAD], 1, "cannot write"),
+        "experiments": (["table1", "--trace", BAD], 1, "cannot write"),
+        "suite run": (["smoke", "--instance", "mini", "--report", BAD], 1, "cannot write"),
+    },
+    "unwritable_ledger": {
+        "cli": ([SRC], 1, "error:"),
+        "lint": ([SRC, "--no-verify"], 1, "error:"),
+        "autotune": ([SRC, "--budget", "4"], 1, "error:"),
+        "experiments": (["table1"], 1, "error:"),
+        "suite list": (["kernel", "--time"], 1, "error:"),
+        "suite run": (["smoke", "--instance", "mini"], 1, "error:"),
+    },
+}
+
+
+def invoke(entry, argv, capsys):
+    """Run one entry point in-process; (exit code, stdout + stderr)."""
+    import importlib
+    import traceback
+
+    module, prefix = ENTRY_POINTS[entry]
+    try:
+        code = importlib.import_module(module).main([*prefix, *argv])
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        traceback.print_exc()
+        code = "raised"
+    out, err = capsys.readouterr()
+    return code, out + err
+
+
+@pytest.mark.parametrize(
+    "case,entry",
+    [(case, entry) for case, row in MATRIX.items() for entry in row],
+    ids=[f"{case}-{entry.replace(' ', '_')}" for case, row in MATRIX.items() for entry in row],
+)
+def test_cli_behaviour_matrix(case, entry, source_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    if case == "unwritable_ledger":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, so no directory can be made under it")
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(blocker / "ledger"))
+    argv, expected_code, expected_text = MATRIX[case][entry]
+    bad = str(tmp_path / "missing" / "out.txt")
+    argv = [arg.format(src=source_file, bad=bad) for arg in argv]
+    code, output = invoke(entry, argv, capsys)
+    assert code == expected_code, output
+    assert expected_text in output
+    assert "Traceback" not in output
+
+
+@pytest.mark.parametrize(
+    "module,argv",
+    [
+        ("repro.experiments.__main__", ["table1", "--ful"]),
+        ("repro.suite.__main__", ["--bogus"]),
+    ],
+)
+def test_unknown_flag_is_not_an_argument(module, argv, capsys):
+    # A typo must not run the quick tables or list zero programs.
+    import importlib
+
+    assert importlib.import_module(module).main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown arguments ['" + argv[-1] + "']" in err
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--chrome-trace"])
+def test_experiments_unwritable_trace_exits_1(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    bad = str(tmp_path / "missing" / "trace.json")
+    code, output = invoke("experiments", ["table1", flag, bad, "--no-ledger"], capsys)
+    assert code == 1
+    assert f"cannot write {bad}" in output
+    assert "Traceback" not in output
+
+
+@pytest.mark.parametrize("entry", ["cli", "locality", "autotune"])
+def test_unknown_flag_named_before_file_count(entry, source_file, capsys):
+    code, output = invoke(entry, [source_file, "--bogus"], capsys)
+    assert code == 2
+    assert "unknown arguments ['--bogus']" in output
